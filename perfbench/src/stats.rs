@@ -1,6 +1,6 @@
 //! Order statistics for the reported metrics: medians, quartiles (the
-//! same method `perfbench/spread.py` and the run-to-run spread use), and
-//! the tail percentile rule.
+//! same method Python's `statistics.quantiles` and the run-to-run spread
+//! use), and the tail percentile rule.
 //!
 //! A tail is reported as the highest percentile that still has at least
 //! [`MIN_BEYOND`] samples above it, so that a tail is never one or two

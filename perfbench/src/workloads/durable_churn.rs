@@ -4,7 +4,8 @@
 //! Set-up generates `world` at scale 1.0 (239 countries; no foreign key
 //! links one country to another, so deletes and arrivals interleave in
 //! any order), holds out a seeded half of the countries as arrivals, and
-//! trains both embedders on the rest (one epoch each). Each pass (a
+//! trains both embedders on the rest (one epoch each); the run sets up
+//! twice before its passes and twice after them. Each pass (a
 //! "rep") puts a clone of that state under a fresh WAL with the default
 //! fsync batching and runs one seeded stream of 200 operations, half of
 //! each kind:
@@ -33,7 +34,7 @@
 
 use super::{
     count_deltas, count_extend_timing, distcache_counters, dynamic_setup, negative_counters,
-    run_passes, stream, Params, Pass, Report,
+    run_passes, stream, trailing_setups, Params, Pass, Report, SETUPS,
 };
 use crate::digest::Digest;
 use crate::trace::{SpanId, Tracer};
@@ -155,13 +156,13 @@ fn with_wal<T>(
 pub fn run(p: &Params, tr: &mut Tracer) -> Report {
     let mut report = Report::default();
     report.note("dataset", "world");
-    let (scale, setups, shape) = if p.tiny {
-        (0.08, 2, TINY)
+    let (scale, (before, after), shape) = if p.tiny {
+        (0.08, (1, 1), TINY)
     } else {
-        (1.0, 3, FULL)
+        (1.0, SETUPS, FULL)
     };
-    let Some(dy) = dynamic_setup(p, tr, &mut report, datasets::world::generate, scale, setups)
-    else {
+    let generate = datasets::world::generate;
+    let Some(dy) = dynamic_setup(p, tr, &mut report, generate, scale, before) else {
         return report;
     };
     let embed_seed = derive_seed(p.seed, stream::EMBED);
@@ -322,6 +323,7 @@ pub fn run(p: &Params, tr: &mut Tracer) -> Report {
         });
         secs
     });
+    trailing_setups(p, tr, &mut report, generate, scale, after, &dy);
     report
 }
 

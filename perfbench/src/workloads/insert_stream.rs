@@ -2,7 +2,8 @@
 //!
 //! Set-up generates `genes` at scale 1.0 (862 prediction tuples),
 //! cascade-deletes a seeded half, and trains both embedders on the rest
-//! (one epoch each). A pass starts from a clone of that trained state and
+//! (one epoch each); the run sets up twice before its passes and twice
+//! after them. A pass starts from a clone of that trained state and
 //! restores the 431 journals in inverse deletion order; after each
 //! restore it calls FoRWaRD `extend`, then Node2Vec `extend`. One
 //! untimed warm-up pass precedes the timed ones.
@@ -19,7 +20,7 @@
 
 use super::{
     count_deltas, count_extend_timing, distcache_counters, dynamic_setup, negative_counters,
-    run_passes, stream, timed, Params, Pass, Report,
+    run_passes, stream, timed, trailing_setups, Params, Pass, Report, SETUPS,
 };
 use crate::digest;
 use crate::trace::Tracer;
@@ -31,9 +32,13 @@ use stembed_runtime::derive_seed;
 pub fn run(p: &Params, tr: &mut Tracer) -> Report {
     let mut report = Report::default();
     report.note("dataset", "genes");
-    let (scale, setups) = if p.tiny { (0.08, 2) } else { (1.0, 3) };
-    let Some(dy) = dynamic_setup(p, tr, &mut report, datasets::genes::generate, scale, setups)
-    else {
+    let (scale, (before, after)) = if p.tiny {
+        (0.08, (1, 1))
+    } else {
+        (1.0, SETUPS)
+    };
+    let generate = datasets::genes::generate;
+    let Some(dy) = dynamic_setup(p, tr, &mut report, generate, scale, before) else {
         return report;
     };
     let embed_seed = derive_seed(p.seed, stream::EMBED);
@@ -117,6 +122,7 @@ pub fn run(p: &Params, tr: &mut Tracer) -> Report {
         });
         secs
     });
+    trailing_setups(p, tr, &mut report, generate, scale, after, &dy);
     report.note("arrivals_per_pass", dy.journals.len());
     report
 }

@@ -2,11 +2,12 @@
 //! loop, and the per-run [`Report`] they fill.
 //!
 //! Every workload is a single-client closed loop: each call into the
-//! library waits for the previous one. A run sets up several times (the
-//! median set-up is reported), then runs identical passes over the same
-//! seeded inputs until `--seconds` have elapsed, always finishing the
-//! pass in flight. Because passes are identical, their outputs must be
-//! bit-identical too, which is one of the output checks.
+//! library waits for the previous one. A run sets up several times, with
+//! the set-ups spread over the run (the median set-up is reported), and
+//! runs identical passes over the same seeded inputs until `--seconds`
+//! have elapsed, always finishing the pass in flight. Because passes are
+//! identical, their outputs must be bit-identical too, which is one of
+//! the output checks.
 
 pub mod durable_churn;
 pub mod insert_stream;
@@ -20,6 +21,10 @@ use stembed_core::{ForwardEmbedder, Node2VecEmbedder};
 /// two outputs (and a traced run always has a traced and an untraced
 /// pass).
 pub const MIN_PASSES: usize = 2;
+
+/// Set-ups of a dynamic workload before its passes and after them; a set-up
+/// takes about 2 s, and spreading them over the run steadies their median.
+pub const SETUPS: (usize, usize) = (2, 2);
 
 /// Seed streams derived from the workload seed
 /// (`stembed_runtime::derive_seed(seed, STREAM)`).
@@ -268,58 +273,13 @@ pub fn dynamic_setup(
     scale: f64,
     setups: usize,
 ) -> Option<Dynamic> {
-    let mut cfg = repro::ExperimentConfig::quick();
-    cfg.data.seed = stembed_runtime::derive_seed(p.seed, stream::DATA);
-    cfg.data.scale = scale;
-    cfg.fwd.epochs = 1;
-    cfg.n2v.epochs = 1;
-    let embed_seed = stembed_runtime::derive_seed(p.seed, stream::EMBED);
     let mut out: Option<Dynamic> = None;
     for _ in 0..setups {
-        let t = Instant::now();
-        let ds = generate(&cfg.data);
-        let mut db = ds.db;
-        let mut order: Vec<reldb::FactId> = ds.labels.iter().map(|&(f, _)| f).collect();
-        let mut rng = stembed_runtime::stream_rng(p.seed, stream::HOLDOUT);
-        for i in (1..order.len()).rev() {
-            order.swap(i, rng.random_range(0..=i));
-        }
-        let mut kept = order.split_off(order.len() / 2);
-        let span = tr.begin("reldb.cascade_delete");
-        let mut held_out = Vec::with_capacity(order.len());
-        let mut journals = Vec::with_capacity(order.len());
-        for &f in &order {
-            // A tuple whose last reference went with an earlier deletion
-            // was collected as an orphan; it returns with that journal.
-            if db.fact(f).is_none() {
-                continue;
-            }
-            let j = reldb::cascade_delete(&mut db, f, true);
-            if let Some(j) = report.outcome("held-out cascade delete", j) {
-                held_out.push(f);
-                journals.push(j);
-            }
-        }
-        tr.end(span);
-        kept.retain(|&f| db.fact(f).is_some());
-        let trained = train_both(tr, report, &db, ds.prediction_rel, &cfg, embed_seed)?;
-        report.setup_s.push(t.elapsed().as_secs_f64());
+        let next = set_up_once(p, tr, report, generate, scale)?;
         if let Some(prev) = &out {
-            let (a, b) = (
-                crate::digest::embeddings(&prev.trained.fwd, &prev.trained.n2v),
-                crate::digest::embeddings(&trained.fwd, &trained.n2v),
-            );
-            report.check(a == b, || {
-                format!("set-up repeats trained different embeddings ({a:016x} vs {b:016x})")
-            });
+            check_same_training(report, prev, &next);
         }
-        out = Some(Dynamic {
-            db,
-            held_out,
-            journals,
-            kept,
-            trained,
-        });
+        out = Some(next);
     }
     let d = out?;
     report.note("scale", scale);
@@ -341,6 +301,90 @@ pub fn dynamic_setup(
     );
     report.note("graph_nodes", d.trained.n2v.model().node_count());
     Some(d)
+}
+
+/// The same set-up `setups` more times after the passes, timed like the
+/// first ones, so that the set-up samples span the run as the passes do
+/// rather than one stretch of host load at its start. Each repeat must
+/// train the embeddings the passes started from.
+pub fn trailing_setups(
+    p: &Params,
+    tr: &mut Tracer,
+    report: &mut Report,
+    generate: fn(&datasets::DatasetParams) -> datasets::Dataset,
+    scale: f64,
+    setups: usize,
+    first: &Dynamic,
+) {
+    for _ in 0..setups {
+        let Some(next) = set_up_once(p, tr, report, generate, scale) else {
+            return;
+        };
+        check_same_training(report, first, &next);
+    }
+}
+
+/// Record a failed check unless two set-ups trained bit-identical
+/// embeddings.
+fn check_same_training(report: &mut Report, a: &Dynamic, b: &Dynamic) {
+    let (a, b) = (
+        crate::digest::embeddings(&a.trained.fwd, &a.trained.n2v),
+        crate::digest::embeddings(&b.trained.fwd, &b.trained.n2v),
+    );
+    report.check(a == b, || {
+        format!("set-up repeats trained different embeddings ({a:016x} vs {b:016x})")
+    });
+}
+
+/// One timed set-up of a dynamic workload.
+fn set_up_once(
+    p: &Params,
+    tr: &mut Tracer,
+    report: &mut Report,
+    generate: fn(&datasets::DatasetParams) -> datasets::Dataset,
+    scale: f64,
+) -> Option<Dynamic> {
+    let mut cfg = repro::ExperimentConfig::quick();
+    cfg.data.seed = stembed_runtime::derive_seed(p.seed, stream::DATA);
+    cfg.data.scale = scale;
+    cfg.fwd.epochs = 1;
+    cfg.n2v.epochs = 1;
+    let embed_seed = stembed_runtime::derive_seed(p.seed, stream::EMBED);
+    let t = Instant::now();
+    let ds = generate(&cfg.data);
+    let mut db = ds.db;
+    let mut order: Vec<reldb::FactId> = ds.labels.iter().map(|&(f, _)| f).collect();
+    let mut rng = stembed_runtime::stream_rng(p.seed, stream::HOLDOUT);
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.random_range(0..=i));
+    }
+    let mut kept = order.split_off(order.len() / 2);
+    let span = tr.begin("reldb.cascade_delete");
+    let mut held_out = Vec::with_capacity(order.len());
+    let mut journals = Vec::with_capacity(order.len());
+    for &f in &order {
+        // A tuple whose last reference went with an earlier deletion
+        // was collected as an orphan; it returns with that journal.
+        if db.fact(f).is_none() {
+            continue;
+        }
+        let j = reldb::cascade_delete(&mut db, f, true);
+        if let Some(j) = report.outcome("held-out cascade delete", j) {
+            held_out.push(f);
+            journals.push(j);
+        }
+    }
+    tr.end(span);
+    kept.retain(|&f| db.fact(f).is_some());
+    let trained = train_both(tr, report, &db, ds.prediction_rel, &cfg, embed_seed)?;
+    report.setup_s.push(t.elapsed().as_secs_f64());
+    Some(Dynamic {
+        db,
+        held_out,
+        journals,
+        kept,
+        trained,
+    })
 }
 
 /// Counters of the FoRWaRD distribution cache, under their per-layer

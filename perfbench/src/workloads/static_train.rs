@@ -1,10 +1,12 @@
 //! `static_train` — the paper's static phase (Table V).
 //!
 //! Set-up generates `hepatitis` at scale 0.25 (about 3,200 facts, 125
-//! prediction tuples, a 12k-node graph). Each pass trains FoRWaRD, then
-//! Node2Vec, from scratch on the same seed, with the quick preset's model
-//! sizes and epochs cut to 5 (FoRWaRD) and 1 (Node2Vec); cutting epochs
-//! keeps each epoch's mix of work.
+//! prediction tuples, a 12k-node graph). A set-up sample is the mean of
+//! [`GENERATIONS`] back-to-back generations; one is taken before the
+//! passes and one at the start of every pass. Each pass then trains
+//! FoRWaRD, then Node2Vec, from scratch on the same seed, with the quick
+//! preset's model sizes and epochs cut to 5 (FoRWaRD) and 1 (Node2Vec);
+//! cutting epochs keeps each epoch's mix of work.
 //!
 //! Stresses `core::train` (eligibility probe, Monte-Carlo sampler,
 //! per-sample SGD), `DbGraph::build_localized`, full-corpus walks and
@@ -17,12 +19,31 @@
 use super::{run_passes, stream, train_both, Params, Pass, Report};
 use crate::digest;
 use crate::trace::Tracer;
+use std::time::Instant;
 use stembed_core::TupleEmbedder;
 use stembed_runtime::derive_seed;
 
-/// Set-ups per run: generation takes ~7 ms and swings by tens of
-/// percent, so the median needs many of them.
-const SETUPS: usize = 31;
+/// Generations behind one set-up sample. One generation takes 4–7 ms; a
+/// call that short falls wholly into a busy or an idle stretch of a
+/// shared host (on a 2-vCPU KVM guest single calls are bimodal, about
+/// 3.3 vs 6.5 ms), so a median of single calls flips between the two
+/// modes from run to run. A sample is the mean of this many back-to-back
+/// generations instead, about a quarter of a second.
+const GENERATIONS: usize = 48;
+
+/// Generate the dataset `n` times back to back: the last copy and the
+/// mean wall time of one generation, s.
+fn set_up(cfg: &repro::ExperimentConfig, n: usize) -> (datasets::Dataset, f64) {
+    let t = Instant::now();
+    let mut ds = datasets::hepatitis::generate(&cfg.data);
+    for _ in 1..n {
+        // Drop the previous copy first, so every generation runs on the
+        // same recycled memory instead of faulting in fresh pages.
+        drop(ds);
+        ds = datasets::hepatitis::generate(&cfg.data);
+    }
+    (ds, t.elapsed().as_secs_f64() / n as f64)
+}
 
 /// Run the workload.
 pub fn run(p: &Params, tr: &mut Tracer) -> Report {
@@ -33,22 +54,15 @@ pub fn run(p: &Params, tr: &mut Tracer) -> Report {
     cfg.fwd.epochs = 5;
     cfg.n2v.epochs = 1;
     let embed_seed = derive_seed(p.seed, stream::EMBED);
+    let generations = if p.tiny { 2 } else { GENERATIONS };
 
-    let mut ds = None;
-    for _ in 0..if p.tiny { 2 } else { SETUPS } {
-        // Drop the previous copy first, so every generation runs on the
-        // same recycled memory instead of faulting in fresh pages.
-        drop(ds.take());
-        let (d, ms) = super::timed(|| datasets::hepatitis::generate(&cfg.data));
-        report.setup_s.push(ms / 1e3);
-        ds = Some(d);
-    }
-    let Some(ds) = ds else {
-        return report;
-    };
-    let rel = ds.prediction_rel;
+    // One set-up sample here and one at the start of every pass, so the
+    // samples spread over the whole run as the passes do.
+    let (ds, secs) = set_up(&cfg, generations);
+    report.setup_s.push(secs);
     report.note("dataset", "hepatitis");
     report.note("scale", cfg.data.scale);
+    report.note("generations_per_setup_sample", generations);
     report.note(
         "facts",
         ds.db
@@ -58,10 +72,14 @@ pub fn run(p: &Params, tr: &mut Tracer) -> Report {
             .sum::<usize>(),
     );
     report.note("prediction_tuples", ds.sample_count());
+    let rel = ds.prediction_rel;
+    drop(ds);
 
     let mut first: Option<u64> = None;
     run_passes(p, tr, &mut report, false, |tr, report, kind| {
-        let t = std::time::Instant::now();
+        let (ds, secs) = set_up(&cfg, generations);
+        report.setup_s.push(secs);
+        let t = Instant::now();
         let trained = train_both(tr, report, &ds.db, rel, &cfg, embed_seed);
         let secs = t.elapsed().as_secs_f64();
         let Some(trained) = trained else {
