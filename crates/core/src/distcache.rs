@@ -15,15 +15,8 @@
 //! * [`ValueDistribution`] by `(scheme, attr, start)`;
 //! * [`FrontierState`] (the **prefix tier**) by `(prefix, start)` where
 //!   `prefix` is a step sequence shared by several schemes;
-//! * exact KD values (the **KD tier**) by `(scheme, attr, f1, f2)` —
-//!   the key is *directional* because [`crate::kd::kd_exact`] iterates
-//!   `p` then `q` and float addition does not reassociate, so `(f1, f2)`
-//!   and `(f2, f1)` are distinct cache lines by design;
-//! * all four are valid only for one `(db_id, epoch, support_limit)`
-//!   triple. KD entries are additionally valid only under the kernel
-//!   assignment of the embedding that computed them — which holds
-//!   because kernels are fixed at train time and each embedding owns its
-//!   cache.
+//! * all three are valid only for one `(db_id, epoch, support_limit)`
+//!   triple.
 //!
 //! The prefix tier is what makes the scheme plan
 //! ([`crate::plan::SchemePlan`]) pay off: walk schemes share step
@@ -82,6 +75,7 @@ use crate::walkdist::{
     FrontierState, ValueDistribution,
 };
 use reldb::{Database, Fact, FactId, MutationKind, MutationRecord};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -112,28 +106,83 @@ type ValueMap = BTreeMap<WalkScheme, BTreeMap<(usize, FactId), CachedValueDist>>
 // scheme being assembled (no allocation per probe). The empty prefix is
 // never cached — rebuilding it is one `frontier_start`.
 type PrefixMap = BTreeMap<Vec<Step>, BTreeMap<FactId, CachedFrontier>>;
-// KD tier: directional `(attr, f1, f2)` under the scheme (see module
-// docs). Only *exact* KD values land here — the Monte-Carlo fallback
-// consumes RNG and is never cached.
-type KdMap = BTreeMap<WalkScheme, BTreeMap<(usize, FactId, FactId), f64>>;
 
-fn map_len<K, K2, V>(map: &BTreeMap<K, BTreeMap<K2, V>>) -> usize {
-    map.values().map(std::collections::BTreeMap::len).sum()
+/// The memo tiers: a [`DistCache`]'s store, and a [`DistCacheView`]'s
+/// private writes on top of it.
+#[derive(Debug, Clone, Default)]
+struct Tiers {
+    facts: FactMap,
+    values: ValueMap,
+    prefixes: PrefixMap,
 }
 
-fn put<K2: Ord, V>(
-    map: &mut BTreeMap<WalkScheme, BTreeMap<K2, V>>,
-    scheme: &WalkScheme,
-    key: K2,
-    value: V,
-) {
-    match map.get_mut(scheme) {
+fn map_len<K, K2, V>(map: &BTreeMap<K, BTreeMap<K2, V>>) -> usize {
+    map.values().map(BTreeMap::len).sum()
+}
+
+/// Insert an entry, cloning the outer key only for its first entry.
+fn put<Q, K, K2, V>(map: &mut BTreeMap<K, BTreeMap<K2, V>>, outer: &Q, key: K2, value: V)
+where
+    Q: Ord + ToOwned<Owned = K> + ?Sized,
+    K: Borrow<Q> + Ord,
+    K2: Ord,
+{
+    match map.get_mut(outer) {
         Some(inner) => {
             inner.insert(key, value);
         }
         None => {
-            // Only the first entry of a scheme pays for cloning it.
-            map.entry(scheme.clone()).or_default().insert(key, value);
+            map.entry(outer.to_owned()).or_default().insert(key, value);
+        }
+    }
+}
+
+/// Move `from`'s entries into `into`, keeping `into`'s on collision.
+fn merge<K: Ord, K2: Ord, V>(
+    into: &mut BTreeMap<K, BTreeMap<K2, V>>,
+    from: BTreeMap<K, BTreeMap<K2, V>>,
+) {
+    for (outer, inner) in from {
+        let target = into.entry(outer).or_default();
+        for (k, v) in inner {
+            target.entry(k).or_insert(v);
+        }
+    }
+}
+
+/// Apply `drop_entries` to `outer`'s inner map, dropping the map once it
+/// is empty (so `is_empty` stays truthful); returns how many entries went.
+fn evict<Q, K, K2, V>(
+    map: &mut BTreeMap<K, BTreeMap<K2, V>>,
+    outer: &Q,
+    drop_entries: impl FnOnce(&mut BTreeMap<K2, V>),
+) -> u64
+where
+    Q: Ord + ?Sized,
+    K: Borrow<Q> + Ord,
+{
+    let Some(inner) = map.get_mut(outer) else {
+        return 0;
+    };
+    let before = inner.len();
+    drop_entries(inner);
+    let after = inner.len();
+    if after == 0 {
+        map.remove(outer);
+    }
+    (before - after) as u64
+}
+
+/// Remove the entries of `starts` from a start-keyed inner map — every
+/// entry when `starts` is `None` (unscoped). One `remove` per start, not a
+/// scan over all entries.
+fn drop_starts<V>(inner: &mut BTreeMap<FactId, V>, starts: Option<&[FactId]>) {
+    match starts {
+        None => inner.clear(),
+        Some(starts) => {
+            for f in starts {
+                inner.remove(f);
+            }
         }
     }
 }
@@ -152,7 +201,7 @@ pub struct DistCacheStats {
     pub invalidations: u64,
     /// Journal replays applied (fine-grained catch-ups instead of clears).
     pub replays: u64,
-    /// Fact/value/KD-tier entries evicted by journal replays (full clears
+    /// Fact/value-tier entries evicted by journal replays (full clears
     /// are counted in `invalidations`, not here; prefix-tier evictions in
     /// [`DistCacheStats::prefix_evicted`]).
     pub evicted: u64,
@@ -165,10 +214,10 @@ pub struct DistCacheStats {
     pub prefix_misses: u64,
     /// Prefix-tier entries evicted by journal replays.
     pub prefix_evicted: u64,
-    /// Exact KD values served from the KD tier.
+    /// Always 0: the cache no longer memoises KD values. Kept until the
+    /// benchmark stops reading it.
     pub kd_hits: u64,
-    /// Exact KD evaluations that had to compute (and then stored) their
-    /// value.
+    /// Always 0 (see [`DistCacheStats::kd_hits`]).
     pub kd_misses: u64,
 }
 
@@ -176,8 +225,7 @@ impl DistCacheStats {
     /// Fraction of lookups served from the cache (0 when none happened).
     ///
     /// Covers the **fact and value tiers only** — prefix-frontier reuse is
-    /// [`DistCacheStats::prefix_hit_rate`], KD-value reuse is
-    /// `kd_hits / (kd_hits + kd_misses)`.
+    /// [`DistCacheStats::prefix_hit_rate`].
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -201,9 +249,6 @@ impl DistCacheStats {
     }
 }
 
-/// Former name of [`DistCacheStats`].
-pub type CacheStats = DistCacheStats;
-
 /// Memo table for exact walk distributions, bound to one
 /// `(db_id, epoch, support_limit)` snapshot at a time.
 ///
@@ -219,10 +264,7 @@ pub struct DistCache {
     db_id: u64,
     epoch: u64,
     support_limit: usize,
-    facts: FactMap,
-    values: ValueMap,
-    prefixes: PrefixMap,
-    kd_values: KdMap,
+    tiers: Tiers,
     /// Per-scheme FK-reachability, computed once per scheme (the schema is
     /// immutable within a lineage) and consulted by every journal replay.
     scopes: BTreeMap<WalkScheme, SchemeReach>,
@@ -251,18 +293,9 @@ impl DistCache {
         self.persist = Some(prefixes);
     }
 
-    /// `true` when a frontier at `prefix` should be stored (see
-    /// [`DistCache::set_persist_prefixes`]).
-    fn should_store(&self, prefix: &[Step]) -> bool {
-        match &self.persist {
-            None => true,
-            Some(set) => set.contains(prefix),
-        }
-    }
-
-    /// `true` when the cache is bound to `db`'s current state and `limit`.
-    fn current_for(&self, db: &Database, limit: usize) -> bool {
-        self.db_id == db.db_id() && self.epoch == db.epoch() && self.support_limit == limit
+    /// `true` when the cache is bound to `db`'s current state.
+    fn current_for(&self, db: &Database) -> bool {
+        self.db_id == db.db_id() && self.epoch == db.epoch()
     }
 
     /// Bind the cache to `db`'s current `(db_id, epoch)` under the exact
@@ -292,10 +325,7 @@ impl DistCache {
         }
         if !self.is_empty() {
             self.stats.invalidations += 1;
-            self.facts.clear();
-            self.values.clear();
-            self.prefixes.clear();
-            self.kd_values.clear();
+            self.tiers = Tiers::default();
         }
         // Scopes are schema-derived; a different lineage may carry a
         // different schema, so they go too (cheap to recompute).
@@ -340,111 +370,75 @@ impl DistCache {
     /// prefix is a walk scheme in its own right (its BFS reads exactly
     /// the facts along its own relation sequence), so [`SchemeReach`] of
     /// the prefix-as-scheme scopes its evictions with no generalisation
-    /// needed. The **KD tier** is a pure function of the two value
-    /// distributions under its scheme, so an entry goes exactly when
-    /// `f1` or `f2` lands in the scheme's affected-start set.
+    /// needed.
     fn replay(&mut self, db: &Database, records: &[MutationRecord]) {
         self.stats.replays += 1;
         if records.is_empty() || self.is_empty() {
             return;
         }
         let schema = db.schema();
-        let schemes: Vec<WalkScheme> = {
-            let mut seen: Vec<&WalkScheme> = self.facts.keys().collect();
-            for s in self.values.keys().chain(self.kd_values.keys()) {
-                if !seen.contains(&s) {
-                    seen.push(s);
-                }
-            }
-            seen.into_iter().cloned().collect()
-        };
+        let tiers = &mut self.tiers;
+        let schemes: BTreeSet<WalkScheme> = tiers
+            .facts
+            .keys()
+            .chain(tiers.values.keys())
+            .cloned()
+            .collect();
+        // Prefix tier: each cached prefix scopes independently as a scheme
+        // of its own (`steps[0]` pins the start relation).
+        let prefixes: Vec<WalkScheme> = tiers
+            .prefixes
+            .keys()
+            .map(|key| WalkScheme {
+                // PANICS: in bounds — cached prefixes are non-empty.
+                start: key[0].source(schema),
+                steps: key.clone(),
+            })
+            .collect();
         // Reverse frontiers larger than this fall back to wholesale
         // eviction (a hub fact touches "everything" anyway). The forward
         // support cap is the natural yardstick.
         let reverse_cap = self.support_limit.max(64);
-        for scheme in schemes {
+        let mut affected = |scheme: &WalkScheme| {
             let reach = self
                 .scopes
                 .entry(scheme.clone())
-                .or_insert_with(|| SchemeReach::of(schema, &scheme));
-            match affected_starts(db, &scheme, reach, records, reverse_cap) {
-                None => {
-                    if let Some(inner) = self.facts.remove(&scheme) {
-                        self.stats.evicted += inner.len() as u64;
-                    }
-                    if let Some(inner) = self.values.remove(&scheme) {
-                        self.stats.evicted += inner.len() as u64;
-                    }
-                    if let Some(inner) = self.kd_values.remove(&scheme) {
-                        self.stats.evicted += inner.len() as u64;
-                    }
-                }
-                Some(starts) if !starts.is_empty() => {
-                    if let Some(inner) = self.facts.get_mut(&scheme) {
-                        for f in &starts {
-                            if inner.remove(f).is_some() {
-                                self.stats.evicted += 1;
-                            }
-                        }
-                        if inner.is_empty() {
-                            self.facts.remove(&scheme);
-                        }
-                    }
-                    if let Some(inner) = self.values.get_mut(&scheme) {
-                        let before = inner.len();
-                        inner.retain(|(_, start), _| starts.binary_search(start).is_err());
-                        self.stats.evicted += (before - inner.len()) as u64;
-                        if inner.is_empty() {
-                            self.values.remove(&scheme);
-                        }
-                    }
-                    if let Some(inner) = self.kd_values.get_mut(&scheme) {
-                        let before = inner.len();
-                        inner.retain(|(_, f1, f2), _| {
-                            starts.binary_search(f1).is_err() && starts.binary_search(f2).is_err()
-                        });
-                        self.stats.evicted += (before - inner.len()) as u64;
-                        if inner.is_empty() {
-                            self.kd_values.remove(&scheme);
-                        }
-                    }
-                }
-                Some(_) => {}
-            }
-        }
-        // Prefix tier: each cached prefix scopes independently as a scheme
-        // of its own (`steps[0]` pins the start relation).
-        let prefix_keys: Vec<Vec<Step>> = self.prefixes.keys().cloned().collect();
-        for key in prefix_keys {
-            let scheme = WalkScheme {
-                // PANICS: in bounds — cached prefixes are non-empty.
-                start: key[0].source(schema),
-                steps: key.clone(),
+                .or_insert_with(|| SchemeReach::of(schema, scheme));
+            affected_starts(db, scheme, reach, records, reverse_cap)
+        };
+        for scheme in &schemes {
+            let starts = match affected(scheme) {
+                Some(starts) if starts.is_empty() => continue,
+                starts => starts,
             };
-            let reach = self
-                .scopes
-                .entry(scheme.clone())
-                .or_insert_with(|| SchemeReach::of(schema, &scheme));
-            match affected_starts(db, &scheme, reach, records, reverse_cap) {
-                None => {
-                    if let Some(inner) = self.prefixes.remove(&key) {
-                        self.stats.prefix_evicted += inner.len() as u64;
-                    }
-                }
-                Some(starts) if !starts.is_empty() => {
-                    if let Some(inner) = self.prefixes.get_mut(&key) {
-                        for f in &starts {
-                            if inner.remove(f).is_some() {
-                                self.stats.prefix_evicted += 1;
-                            }
-                        }
-                        if inner.is_empty() {
-                            self.prefixes.remove(&key);
-                        }
-                    }
-                }
-                Some(_) => {}
-            }
+            let starts = starts.as_deref();
+            self.stats.evicted += evict(&mut tiers.facts, scheme, |m| drop_starts(m, starts));
+            self.stats.evicted += evict(&mut tiers.values, scheme, |m| match starts {
+                None => m.clear(),
+                Some(starts) => m.retain(|(_, start), _| starts.binary_search(start).is_err()),
+            });
+        }
+        for prefix in &prefixes {
+            let starts = affected(prefix);
+            self.stats.prefix_evicted += evict(&mut tiers.prefixes, &prefix.steps, |m| {
+                drop_starts(m, starts.as_deref());
+            });
+        }
+    }
+
+    /// Lookups over the cache's own store (no base layer): misses are
+    /// computed and stored in place.
+    fn lookup(&mut self, db: &Database) -> Lookup<'_> {
+        debug_assert!(
+            self.current_for(db),
+            "DistCache used without ensure_bound()"
+        );
+        Lookup {
+            base: None,
+            top: &mut self.tiers,
+            stats: &mut self.stats,
+            limit: self.support_limit,
+            persist: self.persist.as_deref(),
         }
     }
 
@@ -458,17 +452,119 @@ impl DistCache {
         scheme: &WalkScheme,
         start: FactId,
     ) -> CachedFactDist {
-        debug_assert!(
-            self.current_for(db, self.support_limit),
-            "DistCache used without ensure_bound()"
-        );
-        if let Some(hit) = self.facts.get(scheme).and_then(|m| m.get(&start)) {
+        self.lookup(db).fact_distribution(db, scheme, start)
+    }
+
+    /// Memoised `d_{start,scheme}[attr]` (via the fact-level entry, which
+    /// is shared by all attributes of the same scheme).
+    pub fn value_distribution(
+        &mut self,
+        db: &Database,
+        scheme: &WalkScheme,
+        attr: usize,
+        start: FactId,
+    ) -> CachedValueDist {
+        self.lookup(db).value_distribution(db, scheme, attr, start)
+    }
+
+    /// Read-only snapshot handle for one work item of a sharded section.
+    /// Requires the cache to be bound against the database the view will
+    /// read (debug-asserted at lookup time).
+    pub fn view(&self) -> DistCacheView<'_> {
+        DistCacheView {
+            base: self,
+            delta: DistCacheDelta::default(),
+        }
+    }
+
+    /// Merge a view's privately computed entries back. Call once per work
+    /// item, **in item order** — with that discipline the cache contents
+    /// after a sharded section are independent of the shard count (entry
+    /// values are pure in their key, so collisions carry equal data and
+    /// "first item wins" is well defined).
+    pub fn absorb(&mut self, delta: DistCacheDelta) {
+        merge(&mut self.tiers.facts, delta.tiers.facts);
+        merge(&mut self.tiers.values, delta.tiers.values);
+        merge(&mut self.tiers.prefixes, delta.tiers.prefixes);
+        self.stats.hits += delta.stats.hits;
+        self.stats.misses += delta.stats.misses;
+        self.stats.prefix_hits += delta.stats.prefix_hits;
+        self.stats.prefix_misses += delta.stats.prefix_misses;
+    }
+
+    /// Lifetime hit/miss/eviction/invalidation counters.
+    pub fn stats(&self) -> DistCacheStats {
+        self.stats
+    }
+
+    /// Number of memoised entries across all three tiers (fact, value,
+    /// prefix-frontier).
+    pub fn len(&self) -> usize {
+        let tiers = &self.tiers;
+        map_len(&tiers.facts) + map_len(&tiers.values) + map_len(&tiers.prefixes)
+    }
+
+    /// `true` when nothing is memoised in any tier.
+    pub fn is_empty(&self) -> bool {
+        let tiers = &self.tiers;
+        tiers.facts.is_empty() && tiers.values.is_empty() && tiers.prefixes.is_empty()
+    }
+}
+
+/// One lookup core for [`DistCache`] and [`DistCacheView`]: probes the
+/// read-only `base` layer first (a view's shared cache; `None` for the
+/// cache itself), then the writable `top` layer, and computes misses into
+/// `top`.
+struct Lookup<'a> {
+    base: Option<&'a Tiers>,
+    top: &'a mut Tiers,
+    stats: &'a mut DistCacheStats,
+    limit: usize,
+    /// See [`DistCache::set_persist_prefixes`].
+    persist: Option<&'a BTreeSet<Vec<Step>>>,
+}
+
+impl Lookup<'_> {
+    /// The layers in probe order: base, then top.
+    fn layers(&self) -> impl Iterator<Item = &Tiers> + '_ {
+        self.base.into_iter().chain([&*self.top])
+    }
+
+    fn fact_distribution(
+        &mut self,
+        db: &Database,
+        scheme: &WalkScheme,
+        start: FactId,
+    ) -> CachedFactDist {
+        let hit = self.layers().find_map(|t| t.facts.get(scheme)?.get(&start));
+        if let Some(hit) = hit.cloned() {
             self.stats.hits += 1;
-            return hit.clone();
+            return hit;
         }
         self.stats.misses += 1;
         let computed = self.assemble_from_prefixes(db, scheme, start).map(Arc::new);
-        put(&mut self.facts, scheme, start, computed.clone());
+        put(&mut self.top.facts, scheme, start, computed.clone());
+        computed
+    }
+
+    fn value_distribution(
+        &mut self,
+        db: &Database,
+        scheme: &WalkScheme,
+        attr: usize,
+        start: FactId,
+    ) -> CachedValueDist {
+        let key = (attr, start);
+        let hit = self.layers().find_map(|t| t.values.get(scheme)?.get(&key));
+        if let Some(hit) = hit.cloned() {
+            self.stats.hits += 1;
+            return hit;
+        }
+        // A value-level miss is its own miss (the marginalisation work),
+        // on top of whatever the fact-level lookup below records.
+        self.stats.misses += 1;
+        let computed = marginalise(db, self.fact_distribution(db, scheme, start), attr);
+        put(&mut self.top.values, scheme, key, computed.clone());
         computed
     }
 
@@ -495,19 +591,15 @@ impl DistCache {
         if scheme.is_empty() || db.fact(start).is_none() {
             // Nothing shareable: the empty prefix is one `frontier_start`,
             // and a dead start fails before any step.
-            return destination_distribution_status(db, scheme, start, self.support_limit);
+            return destination_distribution_status(db, scheme, start, self.limit);
         }
-        let mut found: Option<(usize, CachedFrontier)> = None;
-        for k in (1..=scheme.len()).rev() {
-            if let Some(entry) = self
-                .prefixes
-                .get(&scheme.steps[..k])
-                .and_then(|m| m.get(&start))
-            {
-                found = Some((k, entry.clone()));
-                break;
-            }
-        }
+        let found = (1..=scheme.len()).rev().find_map(|k| {
+            let prefix = &scheme.steps[..k];
+            let entry = self
+                .layers()
+                .find_map(|t| t.prefixes.get(prefix)?.get(&start))?;
+            Some((k, entry.clone()))
+        });
         let (mut depth, mut state) = match found {
             Some((k, entry)) => {
                 self.stats.prefix_hits += 1;
@@ -526,16 +618,11 @@ impl DistCache {
             }
         };
         while depth < scheme.len() {
-            let stepped =
-                frontier_step(db, &scheme.steps[depth], &state, self.support_limit).map(Arc::new);
+            let stepped = frontier_step(db, &scheme.steps[depth], &state, self.limit).map(Arc::new);
             depth += 1;
-            if self.should_store(&scheme.steps[..depth]) {
-                store_prefix(
-                    &mut self.prefixes,
-                    &scheme.steps[..depth],
-                    start,
-                    stepped.clone(),
-                );
+            let prefix = &scheme.steps[..depth];
+            if self.persist.is_none_or(|set| set.contains(prefix)) {
+                put(&mut self.top.prefixes, prefix, start, stepped.clone());
             }
             match stepped {
                 DistStatus::Exists(next) => state = next,
@@ -545,101 +632,6 @@ impl DistCache {
         }
         frontier_finish(&state)
     }
-
-    /// Memoised `d_{start,scheme}[attr]` (via the fact-level entry, which
-    /// is shared by all attributes of the same scheme).
-    pub fn value_distribution(
-        &mut self,
-        db: &Database,
-        scheme: &WalkScheme,
-        attr: usize,
-        start: FactId,
-    ) -> CachedValueDist {
-        debug_assert!(
-            self.current_for(db, self.support_limit),
-            "DistCache used without ensure_bound()"
-        );
-        if let Some(hit) = self.values.get(scheme).and_then(|m| m.get(&(attr, start))) {
-            self.stats.hits += 1;
-            return hit.clone();
-        }
-        // A value-level miss is its own miss (the marginalisation work),
-        // on top of whatever the fact-level lookup below records.
-        self.stats.misses += 1;
-        let computed = marginalise(db, self.fact_distribution(db, scheme, start), attr);
-        put(&mut self.values, scheme, (attr, start), computed.clone());
-        computed
-    }
-
-    /// Read-only snapshot handle for one work item of a sharded section.
-    /// Requires the cache to be bound against the database the view will
-    /// read (debug-asserted at lookup time).
-    pub fn view(&self) -> DistCacheView<'_> {
-        DistCacheView {
-            base: self,
-            delta: DistCacheDelta::default(),
-        }
-    }
-
-    /// Merge a view's privately computed entries back. Call once per work
-    /// item, **in item order** — with that discipline the cache contents
-    /// after a sharded section are independent of the shard count (entry
-    /// values are pure in their key, so collisions carry equal data and
-    /// "first item wins" is well defined).
-    pub fn absorb(&mut self, delta: DistCacheDelta) {
-        for (scheme, inner) in delta.facts {
-            let target = self.facts.entry(scheme).or_default();
-            for (k, v) in inner {
-                target.entry(k).or_insert(v);
-            }
-        }
-        for (scheme, inner) in delta.values {
-            let target = self.values.entry(scheme).or_default();
-            for (k, v) in inner {
-                target.entry(k).or_insert(v);
-            }
-        }
-        for (prefix, inner) in delta.prefixes {
-            let target = self.prefixes.entry(prefix).or_default();
-            for (k, v) in inner {
-                target.entry(k).or_insert(v);
-            }
-        }
-        for (scheme, inner) in delta.kd {
-            let target = self.kd_values.entry(scheme).or_default();
-            for (k, v) in inner {
-                target.entry(k).or_insert(v);
-            }
-        }
-        self.stats.hits += delta.hits;
-        self.stats.misses += delta.misses;
-        self.stats.prefix_hits += delta.prefix_hits;
-        self.stats.prefix_misses += delta.prefix_misses;
-        self.stats.kd_hits += delta.kd_hits;
-        self.stats.kd_misses += delta.kd_misses;
-    }
-
-    /// Lifetime hit/miss/eviction/invalidation counters.
-    pub fn stats(&self) -> DistCacheStats {
-        self.stats
-    }
-
-    /// Number of memoised entries across all four tiers (fact, value,
-    /// prefix-frontier, KD).
-    pub fn len(&self) -> usize {
-        map_len(&self.facts)
-            + map_len(&self.values)
-            + map_len(&self.prefixes)
-            + map_len(&self.kd_values)
-    }
-
-    /// `true` when nothing is memoised in any tier.
-    pub fn is_empty(&self) -> bool {
-        self.facts.is_empty()
-            && self.values.is_empty()
-            && self.prefixes.is_empty()
-            && self.kd_values.is_empty()
-    }
 }
 
 /// The start facts of `scheme` whose cached entries `records` can
@@ -647,7 +639,7 @@ impl DistCache {
 /// impossible (payload-less delete, reverse frontier over `reverse_cap`)
 /// and the caller must evict the scheme wholesale. The per-record logic
 /// is documented on [`DistCache::replay`]; this is shared by the
-/// fact/value/KD pass and the prefix pass.
+/// fact/value pass and the prefix pass.
 fn affected_starts(
     db: &Database,
     scheme: &WalkScheme,
@@ -697,19 +689,6 @@ fn affected_starts(
     starts.sort_unstable();
     starts.dedup();
     Some(starts)
-}
-
-/// Insert a prefix-tier entry, cloning the key only for a prefix's first
-/// entry (the `&[Step]` analogue of [`put`]).
-fn store_prefix(map: &mut PrefixMap, prefix: &[Step], start: FactId, entry: CachedFrontier) {
-    match map.get_mut(prefix) {
-        Some(inner) => {
-            inner.insert(start, entry);
-        }
-        None => {
-            map.entry(prefix.to_vec()).or_default().insert(start, entry);
-        }
-    }
 }
 
 /// Collect into `out` every start fact of `scheme` from which a walk can
@@ -793,19 +772,27 @@ pub struct DistCacheView<'a> {
 /// [absorbed](DistCache::absorb) in item order.
 #[derive(Debug, Default)]
 pub struct DistCacheDelta {
-    facts: FactMap,
-    values: ValueMap,
-    prefixes: PrefixMap,
-    kd: KdMap,
-    hits: u64,
-    misses: u64,
-    prefix_hits: u64,
-    prefix_misses: u64,
-    kd_hits: u64,
-    kd_misses: u64,
+    tiers: Tiers,
+    /// Only the hit/miss and prefix hit/miss counters move in a view.
+    stats: DistCacheStats,
 }
 
 impl DistCacheView<'_> {
+    /// Lookups over the shared cache (base) and the private delta (top).
+    fn lookup(&mut self, db: &Database) -> Lookup<'_> {
+        debug_assert!(
+            self.base.current_for(db),
+            "DistCacheView used against a database the base was not bound for"
+        );
+        Lookup {
+            base: Some(&self.base.tiers),
+            top: &mut self.delta.tiers,
+            stats: &mut self.delta.stats,
+            limit: self.base.support_limit,
+            persist: self.base.persist.as_deref(),
+        }
+    }
+
     /// [`DistCache::fact_distribution`] against base-then-delta.
     pub fn fact_distribution(
         &mut self,
@@ -813,123 +800,7 @@ impl DistCacheView<'_> {
         scheme: &WalkScheme,
         start: FactId,
     ) -> CachedFactDist {
-        debug_assert!(
-            self.base.current_for(db, self.base.support_limit),
-            "DistCacheView used against a database the base was not bound for"
-        );
-        if let Some(hit) = self
-            .base
-            .facts
-            .get(scheme)
-            .and_then(|m| m.get(&start))
-            .or_else(|| self.delta.facts.get(scheme).and_then(|m| m.get(&start)))
-        {
-            self.delta.hits += 1;
-            return hit.clone();
-        }
-        self.delta.misses += 1;
-        let computed = self.assemble_from_prefixes(db, scheme, start).map(Arc::new);
-        put(&mut self.delta.facts, scheme, start, computed.clone());
-        computed
-    }
-
-    /// [`DistCache::assemble_from_prefixes`] against base-then-delta:
-    /// prefix probes check the shared base first, then the private delta;
-    /// newly produced frontiers land in the delta.
-    fn assemble_from_prefixes(
-        &mut self,
-        db: &Database,
-        scheme: &WalkScheme,
-        start: FactId,
-    ) -> DistStatus<FactDistribution> {
-        if scheme.is_empty() || db.fact(start).is_none() {
-            return destination_distribution_status(db, scheme, start, self.base.support_limit);
-        }
-        let mut found: Option<(usize, CachedFrontier)> = None;
-        'probe: for k in (1..=scheme.len()).rev() {
-            for map in [&self.base.prefixes, &self.delta.prefixes] {
-                if let Some(entry) = map.get(&scheme.steps[..k]).and_then(|m| m.get(&start)) {
-                    found = Some((k, entry.clone()));
-                    break 'probe;
-                }
-            }
-        }
-        let (mut depth, mut state) = match found {
-            Some((k, entry)) => {
-                self.delta.prefix_hits += 1;
-                match entry {
-                    DistStatus::Exists(arc) => (k, arc),
-                    DistStatus::TooLarge => return DistStatus::TooLarge,
-                    DistStatus::Nonexistent => return DistStatus::Nonexistent,
-                }
-            }
-            None => {
-                self.delta.prefix_misses += 1;
-                match frontier_start(db, start) {
-                    DistStatus::Exists(s) => (0, Arc::new(s)),
-                    _ => return DistStatus::Nonexistent,
-                }
-            }
-        };
-        while depth < scheme.len() {
-            let stepped = frontier_step(db, &scheme.steps[depth], &state, self.base.support_limit)
-                .map(Arc::new);
-            depth += 1;
-            if self.base.should_store(&scheme.steps[..depth]) {
-                store_prefix(
-                    &mut self.delta.prefixes,
-                    &scheme.steps[..depth],
-                    start,
-                    stepped.clone(),
-                );
-            }
-            match stepped {
-                DistStatus::Exists(next) => state = next,
-                DistStatus::TooLarge => return DistStatus::TooLarge,
-                DistStatus::Nonexistent => return DistStatus::Nonexistent,
-            }
-        }
-        frontier_finish(&state)
-    }
-
-    /// Look up an exact KD value under its directional
-    /// `(scheme, attr, f1, f2)` key, base-then-delta. The order of `f1`
-    /// and `f2` matters: `kd_exact` iterates `p` then `q` and float
-    /// addition does not reassociate.
-    pub fn kd_value(
-        &mut self,
-        scheme: &WalkScheme,
-        attr: usize,
-        f1: FactId,
-        f2: FactId,
-    ) -> Option<f64> {
-        let key = (attr, f1, f2);
-        let hit = self
-            .base
-            .kd_values
-            .get(scheme)
-            .and_then(|m| m.get(&key))
-            .or_else(|| self.delta.kd.get(scheme).and_then(|m| m.get(&key)))
-            .copied();
-        if hit.is_some() {
-            self.delta.kd_hits += 1;
-        } else {
-            self.delta.kd_misses += 1;
-        }
-        hit
-    }
-
-    /// Record a freshly computed exact KD value in the private delta
-    /// (see [`DistCacheView::kd_value`] for the key discipline).
-    pub fn store_kd_value(
-        &mut self,
-        scheme: &WalkScheme,
-        attr: usize,
-        f1: FactId,
-        f2: FactId,
-        y: f64,
-    ) {
-        put(&mut self.delta.kd, scheme, (attr, f1, f2), y);
+        self.lookup(db).fact_distribution(db, scheme, start)
     }
 
     /// [`DistCache::value_distribution`] against base-then-delta.
@@ -940,35 +811,7 @@ impl DistCacheView<'_> {
         attr: usize,
         start: FactId,
     ) -> CachedValueDist {
-        debug_assert!(
-            self.base.current_for(db, self.base.support_limit),
-            "DistCacheView used against a database the base was not bound for"
-        );
-        if let Some(hit) = self
-            .base
-            .values
-            .get(scheme)
-            .and_then(|m| m.get(&(attr, start)))
-            .or_else(|| {
-                self.delta
-                    .values
-                    .get(scheme)
-                    .and_then(|m| m.get(&(attr, start)))
-            })
-        {
-            self.delta.hits += 1;
-            return hit.clone();
-        }
-        // Own value-level miss, on top of the fact-level lookup's count.
-        self.delta.misses += 1;
-        let computed = marginalise(db, self.fact_distribution(db, scheme, start), attr);
-        put(
-            &mut self.delta.values,
-            scheme,
-            (attr, start),
-            computed.clone(),
-        );
-        computed
+        self.lookup(db).value_distribution(db, scheme, attr, start)
     }
 
     /// Finish the view, handing its private entries to the caller for an
@@ -1011,10 +854,10 @@ mod tests {
         assert_eq!(cache.stats().misses, misses, "no new miss on a hit");
         assert!(cache.stats().hits >= 1);
         // A second attribute of the same scheme reuses the fact-level BFS.
-        let fact_entries = map_len(&cache.facts);
+        let fact_entries = map_len(&cache.tiers.facts);
         cache.value_distribution(&db, &scheme, 3, ids["a1"]);
         assert_eq!(
-            map_len(&cache.facts),
+            map_len(&cache.tiers.facts),
             fact_entries,
             "fact BFS shared across attrs"
         );
@@ -1496,68 +1339,6 @@ mod tests {
     }
 
     #[test]
-    fn kd_tier_serves_and_evicts_directionally() {
-        use crate::kd::{kd, kd_cached, KdOptions};
-        use crate::kernel::KernelAssignment;
-        use stembed_runtime::rng::DetRng;
-        let (mut db, ids) = movies_database_labeled();
-        let scheme = s5(&db);
-        let kernels = KernelAssignment::defaults(&db);
-        let opts = KdOptions::default();
-        let mut cache = DistCache::new();
-        cache.ensure_bound(&db, opts.exact_limit);
-
-        let solve = |cache: &mut DistCache, db: &Database, f1: FactId, f2: FactId| {
-            let mut view = cache.view();
-            let mut rng = DetRng::seed_from_u64(99);
-            let q2 = view.value_distribution(db, &scheme, 4, f2);
-            let y = kd_cached(
-                db, &kernels, &scheme, 4, f1, f2, &q2, &opts, &mut rng, &mut view,
-            );
-            cache.absorb(view.into_delta());
-            y.unwrap()
-        };
-        let first = solve(&mut cache, &db, ids["a1"], ids["a4"]);
-        assert_eq!(cache.stats().kd_misses, 1);
-        assert_eq!(cache.stats().kd_hits, 0);
-        // Second identical query: served from the KD tier, same bits, and
-        // equal to the uncached reference.
-        let second = solve(&mut cache, &db, ids["a1"], ids["a4"]);
-        assert_eq!(cache.stats().kd_hits, 1);
-        assert_eq!(first.to_bits(), second.to_bits());
-        let mut rng = DetRng::seed_from_u64(1);
-        let reference = kd(
-            &db, &kernels, &scheme, 4, ids["a1"], ids["a4"], &opts, &mut rng,
-        )
-        .unwrap();
-        assert_eq!(first.to_bits(), reference.to_bits());
-        // The key is directional: the swapped pair is its own entry (a
-        // miss), even though exact KD is symmetric in value.
-        solve(&mut cache, &db, ids["a4"], ids["a1"]);
-        assert_eq!(cache.stats().kd_misses, 2);
-
-        // Replay eviction: a mutation reaching a4 must drop every KD entry
-        // with a4 on either side, while recomputation agrees with the new
-        // database state.
-        db.insert_into(
-            "COLLABORATIONS",
-            vec!["a04".into(), "a03".into(), "m01".into()],
-        )
-        .unwrap();
-        cache.ensure_bound(&db, opts.exact_limit);
-        let kd_misses = cache.stats().kd_misses;
-        let after = solve(&mut cache, &db, ids["a1"], ids["a4"]);
-        assert_eq!(cache.stats().kd_misses, kd_misses + 1, "entry must be gone");
-        let mut rng = DetRng::seed_from_u64(1);
-        let reference = kd(
-            &db, &kernels, &scheme, 4, ids["a1"], ids["a4"], &opts, &mut rng,
-        )
-        .unwrap();
-        assert_eq!(after.to_bits(), reference.to_bits());
-        assert_ne!(after.to_bits(), first.to_bits(), "a4 gained a destination");
-    }
-
-    #[test]
     fn views_overlay_and_absorb_in_order() {
         let (db, ids) = movies_database_labeled();
         let scheme = s5(&db);
@@ -1586,5 +1367,52 @@ mod tests {
         let misses = cache.stats().misses;
         cache.value_distribution(&db, &scheme, 4, ids["a4"]);
         assert_eq!(cache.stats().misses, misses);
+
+        // The same lookup sequence, made directly on one cache and
+        // through one view per item (each absorbed before the next view
+        // opens) on another, must leave the same entries and counters:
+        // the view's base-then-delta probes and the cache's own probes
+        // are one code path.
+        let schema = db.schema();
+        let actors = schema.relation_id("ACTORS").unwrap();
+        let schemes = enumerate_schemes(schema, actors, 3, false);
+        let plan = crate::plan::SchemePlan::build(actors, &schemes);
+        let items: Vec<Vec<(usize, FactId)>> = db
+            .fact_ids(actors)
+            .into_iter()
+            .map(|start| {
+                plan.dfs()
+                    .into_iter()
+                    .flat_map(|idx| [(idx, start), (idx, start)])
+                    .collect()
+            })
+            .collect();
+        let persist = Arc::new(plan.persist_prefixes());
+        let mut direct = DistCache::new();
+        let mut viewed = DistCache::new();
+        for cache in [&mut direct, &mut viewed] {
+            cache.set_persist_prefixes(Arc::clone(&persist));
+            cache.ensure_bound(&db, 256);
+        }
+        for item in &items {
+            let mut view = viewed.view();
+            for &(idx, start) in item {
+                let scheme = plan.node(idx).prefix();
+                let attrs = schema.relation(scheme.end(schema)).arity();
+                for attr in 0..attrs {
+                    let a = direct.value_distribution(&db, scheme, attr, start);
+                    let b = view.value_distribution(&db, scheme, attr, start);
+                    assert_eq!(a, b);
+                }
+                assert_eq!(
+                    direct.fact_distribution(&db, scheme, start),
+                    view.fact_distribution(&db, scheme, start)
+                );
+            }
+            viewed.absorb(view.into_delta());
+        }
+        assert!(direct.stats().prefix_hits > 0 && direct.stats().hits > 0);
+        assert_eq!(direct.len(), viewed.len());
+        assert_eq!(direct.stats(), viewed.stats());
     }
 }

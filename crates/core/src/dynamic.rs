@@ -524,11 +524,10 @@ mod tests {
     }
 
     #[test]
-    fn repeat_extension_hits_the_prefix_and_kd_tiers() {
+    fn repeat_extension_hits_the_prefix_tier() {
         // Forget + re-extend on an unchanged database: the second solve
-        // must be served by the retained cache's prefix frontiers and KD
-        // values — and still produce the exact bits of a throwaway-cache
-        // solve.
+        // must be served by the retained cache's prefix frontiers — and
+        // still produce the exact bits of a throwaway-cache solve.
         let (mut db, ids, journal) = scenario();
         let actors = db.schema().relation_id("ACTORS").unwrap();
         let emb0 = ForwardEmbedding::train(&db, actors, &cfg(), 42).unwrap();
@@ -547,10 +546,6 @@ mod tests {
         warm.extend(&db, ids["a5"], 7).unwrap();
         let second = warm.embedding(ids["a5"]).unwrap().to_vec();
         let after_second = warm.dist_cache().stats();
-        assert!(
-            after_second.kd_hits > after_first.kd_hits,
-            "re-solving the same fact must reuse cached exact KD values"
-        );
         assert_eq!(
             after_second.prefix_misses, after_first.prefix_misses,
             "no frontier may be rebuilt when the database is unchanged"

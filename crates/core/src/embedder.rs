@@ -107,8 +107,8 @@ impl ForwardEmbedder {
 
     /// Hit/miss/invalidation counters of the persistent walk-distribution
     /// cache driving `extend` (diagnostics) — including the prefix-frontier
-    /// and KD tiers (`prefix_hits`/`prefix_misses`, `kd_hits`/`kd_misses`).
-    pub fn dist_cache_stats(&self) -> crate::distcache::CacheStats {
+    /// tier (`prefix_hits`/`prefix_misses`).
+    pub fn dist_cache_stats(&self) -> crate::distcache::DistCacheStats {
         self.inner.dist_cache().stats()
     }
 

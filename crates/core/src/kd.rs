@@ -136,13 +136,6 @@ pub fn kd(
 /// circuit fires under exactly the same conditions, and the Monte-Carlo
 /// fallback consumes the RNG exactly as the uncached path does; no RNG is
 /// touched outside of it.
-///
-/// Exact values are additionally memoised in the view's KD tier under the
-/// directional `(scheme, attr, f1, f2)` key (paper's all-at-once path,
-/// ROADMAP item 5's value cache): a repeated equation serves `y` without
-/// re-running the double loop. The Monte-Carlo fallback is **never**
-/// cached — it consumes RNG, and serving a stale estimate would shift
-/// every later stream.
 #[allow(clippy::too_many_arguments)]
 pub fn kd_cached(
     db: &Database,
@@ -162,12 +155,7 @@ pub fn kd_cached(
     let p1 = view.value_distribution(db, scheme, attr, f1);
     match (p1, q2) {
         (DistStatus::Exists(p), DistStatus::Exists(q)) => {
-            if let Some(y) = view.kd_value(scheme, attr, f1, f2) {
-                return Some(y);
-            }
-            let y = kd_exact(kernels, scheme.end(db.schema()), attr, &p, q);
-            view.store_kd_value(scheme, attr, f1, f2, y);
-            Some(y)
+            Some(kd_exact(kernels, scheme.end(db.schema()), attr, &p, q))
         }
         (p1, _) if p1.is_nonexistent() => None,
         _ => kd_monte_carlo(db, kernels, scheme, attr, f1, f2, opts, rng),
